@@ -133,12 +133,13 @@ func runGrid(gc gridConfig, out *output) error {
 						return fmt.Errorf("grid: cell ot=%s %dx%d b=%d precompute=%t: %w",
 							ot, size[0], size[1], width, warm, err)
 					}
+					p := ps.percentiles()
 					cell := benchgrid.Cell{
 						OT: ot.String(), Rows: size[0], Cols: size[1], Width: width,
 						Precompute: warm, Requests: gc.requests,
-						P50Ms:       ms(percentile(ps.samples, 50)),
-						P95Ms:       ms(percentile(ps.samples, 95)),
-						P99Ms:       ms(percentile(ps.samples, 99)),
+						P50Ms:       p.P50Ms,
+						P95Ms:       p.P95Ms,
+						P99Ms:       p.P99Ms,
 						MeanMs:      ms(ps.mean()),
 						BytesPerOp:  ps.bytesPerOp,
 						AllocsPerOp: ps.allocsPerOp,

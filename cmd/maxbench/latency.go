@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"maxelerator/internal/load"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/precompute"
 	"maxelerator/internal/protocol"
@@ -161,10 +162,9 @@ func runRemoteLatency(lc latencyConfig, out *output) error {
 
 	rep := latencyReport{Rows: lc.rows, Cols: lc.cols, Width: lc.width}
 	res := latencyResult{Mode: "remote", Requests: lc.requests}
-	res.P50Ms = ms(percentile(samples, 50))
-	res.P95Ms = ms(percentile(samples, 95))
-	res.P99Ms = ms(percentile(samples, 99))
 	ps := passStats{samples: samples}
+	p := ps.percentiles()
+	res.P50Ms, res.P95Ms, res.P99Ms = p.P50Ms, p.P95Ms, p.P99Ms
 	res.MeanMs = ms(ps.mean())
 	rep.Results = append(rep.Results, res)
 	if out.json {
@@ -194,9 +194,8 @@ func measureLatency(lc latencyConfig, warm bool) (latencyResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.P50Ms = ms(percentile(ps.samples, 50))
-	res.P95Ms = ms(percentile(ps.samples, 95))
-	res.P99Ms = ms(percentile(ps.samples, 99))
+	p := ps.percentiles()
+	res.P50Ms, res.P95Ms, res.P99Ms = p.P50Ms, p.P95Ms, p.P99Ms
 	res.MeanMs = ms(ps.mean())
 	return res, nil
 }
@@ -249,6 +248,16 @@ func (ps passStats) mean() time.Duration {
 		sum += d
 	}
 	return sum / time.Duration(len(ps.samples))
+}
+
+// percentiles cuts the samples with internal/load's nearest rank, the
+// one percentile convention across the toolchain.
+func (ps passStats) percentiles() load.Percentiles {
+	secs := make([]float64, len(ps.samples))
+	for i, d := range ps.samples {
+		secs[i] = d.Seconds()
+	}
+	return load.Summarize(secs)
 }
 
 // onlineSeconds is the total clocked time of the pass.
@@ -384,21 +393,6 @@ func measurePass(pc passConfig) (passStats, error) {
 	ps.samples = samples
 	ps.tables = tables.Load()
 	return ps, nil
-}
-
-// percentile reads the nearest-rank percentile from sorted samples.
-func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := (p*len(sorted) + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return sorted[idx-1]
 }
 
 func ms(d time.Duration) float64 {

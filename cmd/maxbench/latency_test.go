@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"maxelerator/internal/load"
 )
 
 // testOutput returns an output plus the two capture buffers (data, msg).
@@ -86,51 +89,44 @@ func TestRunLatencyValidates(t *testing.T) {
 	}
 }
 
-// TestPercentileNearestRank pins the nearest-rank percentile math with
-// a table over known samples, including the n=1 and rank-equals-n
-// edge cases the -latency and -grid artifacts depend on.
+// TestPercentileNearestRank pins the nearest-rank percentile math the
+// -latency and -grid artifacts report, with a table over known samples
+// including the n=1 and rank-equals-n edge cases.
 func TestPercentileNearestRank(t *testing.T) {
+	ms := func(vs ...int) []time.Duration {
+		out := make([]time.Duration, len(vs))
+		for i, v := range vs {
+			out[i] = time.Duration(v) * time.Millisecond
+		}
+		return out
+	}
+	hundred := make([]int, 100)
+	for i := range hundred {
+		hundred[i] = i + 1
+	}
 	for _, tc := range []struct {
-		name   string
-		sorted []time.Duration
-		p      int
-		want   time.Duration
+		name    string
+		samples []time.Duration
+		want    load.Percentiles
 	}{
-		{"empty", nil, 50, 0},
+		{"empty", nil, load.Percentiles{}},
 		// n=1: every percentile is the single sample.
-		{"n=1 p1", []time.Duration{7}, 1, 7},
-		{"n=1 p50", []time.Duration{7}, 50, 7},
-		{"n=1 p99", []time.Duration{7}, 99, 7},
-		{"n=1 p100", []time.Duration{7}, 100, 7},
-		// n=4: ceil(p*n/100) ranks.
-		{"n=4 p1", []time.Duration{10, 20, 30, 40}, 1, 10},
-		{"n=4 p25", []time.Duration{10, 20, 30, 40}, 25, 10},
-		{"n=4 p50", []time.Duration{10, 20, 30, 40}, 50, 20},
-		{"n=4 p51", []time.Duration{10, 20, 30, 40}, 51, 30},
-		{"n=4 p75", []time.Duration{10, 20, 30, 40}, 75, 30},
-		{"n=4 p95", []time.Duration{10, 20, 30, 40}, 95, 40},
-		{"n=4 p99", []time.Duration{10, 20, 30, 40}, 99, 40},
-		// rank equals n exactly (p*n/100 integral at the top).
-		{"n=4 p100", []time.Duration{10, 20, 30, 40}, 100, 40},
-		{"n=100 p50", mkSamples(100), 50, 50},
-		{"n=100 p99", mkSamples(100), 99, 99},
-		{"n=100 p100", mkSamples(100), 100, 100},
-		// p=0 clamps to the first sample rather than indexing below it.
-		{"p0 clamps", []time.Duration{10, 20}, 0, 10},
+		{"n=1", ms(7), load.Percentiles{P50Ms: 7, P90Ms: 7, P95Ms: 7, P99Ms: 7, MeanMs: 7, MaxMs: 7, Samples: 1}},
+		// n=4: ceil(p*n/100) ranks; the tail ranks equal n exactly.
+		{"n=4", ms(10, 20, 30, 40), load.Percentiles{P50Ms: 20, P90Ms: 40, P95Ms: 40, P99Ms: 40, MeanMs: 25, MaxMs: 40, Samples: 4}},
+		// Unsorted input is ordered before ranking.
+		{"n=4 unsorted", ms(40, 10, 30, 20), load.Percentiles{P50Ms: 20, P90Ms: 40, P95Ms: 40, P99Ms: 40, MeanMs: 25, MaxMs: 40, Samples: 4}},
+		{"n=100", ms(hundred...), load.Percentiles{P50Ms: 50, P90Ms: 90, P95Ms: 95, P99Ms: 99, MeanMs: 50.5, MaxMs: 100, Samples: 100}},
 	} {
-		if got := percentile(tc.sorted, tc.p); got != tc.want {
-			t.Errorf("%s: percentile(p=%d) = %v, want %v", tc.name, tc.p, got, tc.want)
+		got := passStats{samples: tc.samples}.percentiles()
+		if math.Abs(got.MeanMs-tc.want.MeanMs) > 1e-9 {
+			t.Errorf("%s: mean = %v, want %v", tc.name, got.MeanMs, tc.want.MeanMs)
+		}
+		got.MeanMs = tc.want.MeanMs
+		if got != tc.want {
+			t.Errorf("%s: percentiles = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
-}
-
-// mkSamples builds 1..n as durations.
-func mkSamples(n int) []time.Duration {
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = time.Duration(i + 1)
-	}
-	return out
 }
 
 func TestPassStatsMeanAndOnlineSeconds(t *testing.T) {

@@ -17,8 +17,8 @@
 //
 //	maxcap -validate -rate 4 -duration 5s [-addr HOST:PORT]
 //	    Close the loop: run the open-loop generator against a real
-//	    backend (an in-process lab backend by default, or -addr for an
-//	    external daemon with -metrics), calibrate the simulator from
+//	    backend (an in-process internal/daemon by default, or -addr for
+//	    an external daemon with -metrics), calibrate the simulator from
 //	    that very run's histograms, replay the identical arrival
 //	    schedule, and exit non-zero if prediction misses measurement
 //	    by more than the tolerance band.
@@ -33,14 +33,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"time"
 
 	"maxelerator/internal/benchgrid"
 	"maxelerator/internal/capmodel"
-	"maxelerator/internal/fleetlab"
+	"maxelerator/internal/daemon"
 	"maxelerator/internal/load"
 	"maxelerator/internal/obs"
+	"maxelerator/internal/protocol"
 )
 
 type cliConfig struct {
@@ -104,7 +106,7 @@ func main() {
 	flag.StringVar(&c.poolSweep, "pool-sweep", "0,4", "capacity sweep: pool depths")
 	flag.StringVar(&c.sessionsSweep, "sessions-sweep", "8", "capacity sweep: max-sessions values")
 
-	flag.StringVar(&c.addr, "addr", "", "validate: external daemon address (default: boot an in-process lab backend)")
+	flag.StringVar(&c.addr, "addr", "", "validate: external daemon address (default: boot an in-process daemon)")
 	flag.StringVar(&c.metricsURL, "metrics", "", "validate: external daemon observability base URL (required with -addr)")
 	flag.Float64Var(&c.tolFactor, "tol-factor", capmodel.DefaultTolerance.LatencyFactor, "validate: latency tolerance factor")
 	flag.Float64Var(&c.tolSlackMs, "tol-slack-ms", capmodel.DefaultTolerance.LatencySlackMs, "validate: absolute latency slack, ms")
@@ -269,21 +271,28 @@ func runValidate(c cliConfig, sc load.Scenario, fl capmodel.Fleet) error {
 		}
 		lcfg.Target, lcfg.MetricsURL = c.addr, c.metricsURL
 	} else {
-		b, err := fleetlab.Start(fleetlab.Config{
-			Width: ref.Width, Rows: ref.Rows, Cols: ref.Cols, Seed: sc.Seed,
-			MaxSessions: fl.MaxSessions, AdmissionWait: c.admissionWait,
-			PoolSize: fl.PoolDepth,
-		})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return err
 		}
-		defer b.Stop()
+		lcfg.Matrix = daemon.DemoMatrix(ref.Rows, ref.Cols, ref.Width, sc.Seed)
+		b, err := daemon.Start(daemon.Config{
+			Listener: ln, Matrix: lcfg.Matrix, Width: ref.Width, GarbleWorkers: 1,
+			MaxSessions: fl.MaxSessions, AdmissionWait: c.admissionWait,
+			Timeouts:   protocol.Timeouts{Handshake: 10 * time.Second, IO: 10 * time.Second},
+			Precompute: fl.PoolDepth > 0, PrecomputePool: fl.PoolDepth, PrecomputeShapes: 8,
+		})
+		if err != nil {
+			ln.Close()
+			return err
+		}
+		defer b.Close()
 		if fl.WarmStart {
 			if err := b.Prefill(fl.PoolDepth); err != nil {
 				return err
 			}
 		}
-		lcfg.Target, lcfg.Registry = b.Addr, b.Registry()
+		lcfg.Target, lcfg.Registry = ln.Addr().String(), b.Registry()
 	}
 
 	measured, err := load.Run(lcfg)

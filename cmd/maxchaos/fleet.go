@@ -1,19 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"maxelerator/internal/daemon"
 	"maxelerator/internal/gateway"
-	"maxelerator/internal/maxsim"
+	"maxelerator/internal/load"
 	"maxelerator/internal/obs"
-	"maxelerator/internal/precompute"
 	"maxelerator/internal/protocol"
 	"maxelerator/internal/wire"
 	"maxelerator/internal/wire/faultconn"
@@ -24,206 +21,125 @@ import (
 // in the matching faultconn script; sessions already in flight are left
 // alone (a real degradation hits new work first).
 const (
-	faultNone int32 = iota
-	faultStall      // accepted-but-mute: first read blocks forever
-	faultFlaky      // lossy link: every op fails with probability flakyP
+	faultNone  int32 = iota
+	faultStall       // accepted-but-mute: first read blocks until the conn closes
+	faultFlaky       // lossy link: every op fails with probability flakyP
 )
 
-// chaosBackend is one in-process maxd-equivalent the harness can kill,
-// restart and degrade: a real protocol server with a precompute engine
-// behind a TCP listener, plus the /healthz + /shapez surface the
-// gateway probes. Kill closes both listeners and every live session
-// connection (a process crash, not a graceful drain); restart re-binds
-// the same addresses so the gateway's static backend list stays valid.
-type chaosBackend struct {
-	id     int
-	cfg    *chaosConfig
-	logf   func(string, ...any)
-	o      *obs.Obs
-	srv    *protocol.Server
-	eng    *precompute.Engine
-	matrix [][]int64
-	mux    *http.ServeMux
+// chaosMatrix is the model every backend serves. The load generator
+// checks each answer against it.
+var chaosMatrix = [][]int64{{2, 3}}
 
+// chaosBackend is one in-process internal/daemon the harness can kill,
+// restart and degrade. Kill closes the daemon with zero drain (a process
+// crash, not a graceful drain); restart re-binds the same addresses and
+// boots a fresh daemon on them, so the gateway's static backend list
+// stays valid. Faults go through the daemon's WrapConn hook.
+type chaosBackend struct {
+	id         int
+	cfg        *chaosConfig
 	protoAddr  string // fixed for the run; restart re-binds it
 	healthAddr string
 
 	fault    atomic.Int32
 	flakySeq atomic.Int64 // per-conn seed so flaky runs differ but stay reproducible
 
-	mu    sync.Mutex
-	down  bool
-	ln    net.Listener
-	hsrv  *http.Server
-	conns map[io.Closer]struct{} // wrapped conns of live sessions; kill closes them
-
-	served atomic.Int64 // sessions Serve completed cleanly (end marker seen)
-	wg     sync.WaitGroup
+	mu sync.Mutex
+	d  *daemon.Daemon // nil while down
+	// served and arena total the incarnations already closed: requests
+	// completed, and frame buffers still lent out after teardown.
+	served, arena int64
 }
 
-func startChaosBackend(cfg *chaosConfig, id int, logf func(string, ...any)) (*chaosBackend, error) {
-	b := &chaosBackend{
-		id:     id,
-		cfg:    cfg,
-		logf:   logf,
-		o:      obs.New(0),
-		matrix: [][]int64{{2, 3}},
-		conns:  map[io.Closer]struct{}{},
-	}
-	simCfg := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
-	srv, err := protocol.NewServer(simCfg)
+func startChaosBackend(cfg *chaosConfig, id int) (*chaosBackend, error) {
+	ln, hln, err := bind("127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	eng, err := precompute.New(precompute.Config{Sim: simCfg, PoolSize: 2, MaxShapes: 8, Metrics: b.o.Metrics()})
-	if err != nil {
-		return nil, err
-	}
-	// I/O budgets bound every session goroutine: a connection cut by a
-	// kill or muted by a stall can hold a serve goroutine for at most
-	// one timeout, so teardown's wg.Wait always terminates. The budgets
-	// are loose because the OT base phase is real 2048-bit crypto — on a
-	// loaded single-core runner a healthy peer can legitimately take
-	// seconds between frames.
-	srv.WithObs(b.o).WithPrecompute(eng).
-		WithTimeouts(protocol.Timeouts{Handshake: 10 * time.Second, IO: 10 * time.Second})
-	eng.Start()
-	b.srv, b.eng = srv, eng
+	b := &chaosBackend{id: id, cfg: cfg, protoAddr: ln.Addr().String(), healthAddr: hln.Addr().String()}
+	return b, b.boot(ln, hln)
+}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		eng.Stop()
-		return nil, err
-	}
-	hln, err := net.Listen("tcp", "127.0.0.1:0")
+// boot starts a daemon on the bound listeners. The I/O budgets are
+// loose because the OT base phase is real 2048-bit crypto: on a loaded
+// single-core runner a healthy peer can take seconds between frames.
+func (b *chaosBackend) boot(ln, hln net.Listener) error {
+	d, err := daemon.Start(daemon.Config{
+		Listener: ln, MetricsListener: hln,
+		Matrix: chaosMatrix, Width: 8, GarbleWorkers: 1,
+		Timeouts:   protocol.Timeouts{Handshake: 10 * time.Second, IO: 10 * time.Second},
+		Precompute: true, PrecomputePool: 2, PrecomputeShapes: 8,
+		Advertise: true,
+		WrapConn:  b.wrap,
+	})
 	if err != nil {
 		ln.Close()
-		eng.Stop()
-		return nil, err
+		hln.Close()
+		return err
 	}
-	b.protoAddr = ln.Addr().String()
-	b.healthAddr = hln.Addr().String()
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("/shapez", func(w http.ResponseWriter, r *http.Request) {
-		var shapes []string
-		for s := range b.eng.Shapes() {
-			shapes = append(shapes, s.String())
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"shapes": shapes})
-	})
-	mux.Handle("/", b.o.Handler())
-	b.mux = mux
-
-	hsrv := &http.Server{Handler: mux}
-	b.ln, b.hsrv = ln, hsrv
-	go b.acceptLoop(ln)
-	go hsrv.Serve(hln)
-	return b, nil
+	b.mu.Lock()
+	b.d = d
+	b.mu.Unlock()
+	return nil
 }
 
-func (b *chaosBackend) acceptLoop(ln net.Listener) {
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		b.wg.Add(1)
-		go b.handle(nc)
-	}
-}
-
-func (b *chaosBackend) handle(nc net.Conn) {
-	defer b.wg.Done()
-	var conn wire.Conn = wire.NewStreamConn(nc)
+// wrap applies the active fault mode to a newly accepted connection.
+func (b *chaosBackend) wrap(c wire.Conn) wire.Conn {
 	switch b.fault.Load() {
 	case faultStall:
-		conn = faultconn.New(conn, faultconn.Options{StallFirstRead: true})
+		return faultconn.New(c, faultconn.Options{StallFirstRead: true})
 	case faultFlaky:
-		conn = faultconn.New(conn, faultconn.Flaky(b.flakySeq.Add(1), b.cfg.flakyP))
+		return faultconn.New(c, faultconn.Flaky(b.flakySeq.Add(1), b.cfg.flakyP))
 	}
-	b.mu.Lock()
-	if b.down {
-		b.mu.Unlock()
-		conn.Close()
-		return
-	}
-	b.conns[conn] = struct{}{}
-	b.mu.Unlock()
-	defer func() {
-		b.mu.Lock()
-		delete(b.conns, conn)
-		b.mu.Unlock()
-		conn.Close()
-	}()
-	if _, err := b.srv.Serve(conn, protocol.Request{Matrix: b.matrix}); err == nil {
-		b.served.Add(1)
-	}
+	return c
 }
 
-// kill models a process crash: both listeners close, every live
-// session connection is cut mid-stream. Idempotent.
+// kill models a process crash: the daemon closes with zero drain,
+// cutting every live session. Idempotent.
 func (b *chaosBackend) kill() {
 	b.mu.Lock()
-	if b.down {
-		b.mu.Unlock()
+	d := b.d
+	b.d = nil
+	b.mu.Unlock()
+	if d == nil {
 		return
 	}
-	b.down = true
-	ln, hsrv := b.ln, b.hsrv
-	conns := make([]io.Closer, 0, len(b.conns))
-	for c := range b.conns {
-		conns = append(conns, c)
-	}
+	d.Close()
+	req, _ := d.Registry().Snapshot().Histogram("request_seconds", nil)
+	b.mu.Lock()
+	b.served += int64(req.Count)
+	b.arena += d.ArenaOutstanding()
 	b.mu.Unlock()
-	ln.Close()
-	hsrv.Close()
-	for _, c := range conns {
-		c.Close()
-	}
 }
 
-// restart re-binds the crashed backend's original addresses. The
-// kernel can hold the freed port briefly, so binding retries for up to
-// two seconds before giving up.
+// restart re-binds the crashed backend's original addresses and boots
+// a new daemon on them.
 func (b *chaosBackend) restart() error {
-	var ln, hln net.Listener
-	var err error
-	for i := 0; i < 40 && (ln == nil || hln == nil); i++ {
+	ln, hln, err := bind(b.protoAddr, b.healthAddr)
+	if err != nil {
+		return fmt.Errorf("backend %d: re-bind after restart: %w", b.id, err)
+	}
+	return b.boot(ln, hln)
+}
+
+// bind listens on both addresses. The kernel can hold a freed port
+// briefly, so binding retries for up to two seconds before giving up.
+func bind(proto, health string) (ln, hln net.Listener, err error) {
+	for i := 0; i < 40 && hln == nil; i++ {
 		if i > 0 {
 			time.Sleep(50 * time.Millisecond)
 		}
 		if ln == nil {
-			ln, err = net.Listen("tcp", b.protoAddr)
+			ln, err = net.Listen("tcp", proto)
 		}
-		if ln != nil && hln == nil {
-			hln, err = net.Listen("tcp", b.healthAddr)
-		}
-	}
-	if ln == nil || hln == nil {
 		if ln != nil {
-			ln.Close()
+			hln, err = net.Listen("tcp", health)
 		}
-		return fmt.Errorf("backend %d: re-bind after restart: %w", b.id, err)
 	}
-	hsrv := &http.Server{Handler: b.mux}
-	b.mu.Lock()
-	b.down = false
-	b.ln, b.hsrv = ln, hsrv
-	b.mu.Unlock()
-	go b.acceptLoop(ln)
-	go hsrv.Serve(hln)
-	return nil
-}
-
-// stop is the end-of-run teardown: crash the backend, wait for every
-// session goroutine (bounded by the server's I/O budgets), stop the
-// precompute engine. After stop, served and ArenaOutstanding are final.
-func (b *chaosBackend) stop() {
-	b.kill()
-	b.wg.Wait()
-	b.eng.Stop()
+	if hln == nil && ln != nil {
+		ln.Close()
+	}
+	return ln, hln, err
 }
 
 // chaosFleet is the system under test: one live gateway routing over
@@ -239,11 +155,18 @@ type chaosFleet struct {
 	logf     func(string, ...any)
 }
 
+// chaosShapes is the load's shape mix: three hinted routes (shape keys
+// hashing to different ring positions) and the unhinted least-loaded
+// route. Hints are routing metadata only — every backend serves the
+// same 1×2 b=8 matrix — so the lying widths are safe and exercise
+// hint-miss accounting.
+const chaosShapes = "1x2/b=8,1x2/b=16,1x2/b=32,1x2/b=8/nohint"
+
 func startFleet(cfg *chaosConfig, logf func(string, ...any)) (*chaosFleet, error) {
 	f := &chaosFleet{cfg: cfg, o: obs.New(0), logf: logf}
 	var gwBackends []gateway.Backend
 	for i := 0; i < cfg.backends; i++ {
-		b, err := startChaosBackend(cfg, i, logf)
+		b, err := startChaosBackend(cfg, i)
 		if err != nil {
 			f.teardownBackends()
 			return nil, err
@@ -284,7 +207,7 @@ func startFleet(cfg *chaosConfig, logf func(string, ...any)) (*chaosFleet, error
 
 func (f *chaosFleet) teardownBackends() {
 	for _, b := range f.backends {
-		b.stop()
+		b.kill()
 	}
 }
 
@@ -293,6 +216,31 @@ func (f *chaosFleet) teardownBackends() {
 func (f *chaosFleet) stopIntake() {
 	f.ln.Close()
 	<-f.gwDone
+}
+
+// runLoad drives open-loop load at the gateway for d: one session per
+// loadInterval, regardless of how earlier sessions are doing, so a
+// retry storm or a stalled fleet surfaces as errors instead of slowing
+// the arrival clock. Arrivals past maxInflight are skipped, never
+// blocked on. Client budgets are generous: they exist to bound
+// sessions wedged on a muted or killed backend, not to police
+// healthy-but-slow crypto on contended cores.
+func (f *chaosFleet) runLoad(d time.Duration) (*load.Report, error) {
+	mix, err := load.ParseShapes(chaosShapes)
+	if err != nil {
+		return nil, err
+	}
+	return load.Run(load.Config{
+		Target: f.gwAddr,
+		Scenario: load.Scenario{
+			Rate: 1 / f.cfg.loadInterval.Seconds(), Process: load.Uniform,
+			DurationSec: d.Seconds(), Seed: 1, MaxInflight: f.cfg.maxInflight, Shapes: mix,
+		},
+		Timeouts:    protocol.Timeouts{Handshake: 8 * time.Second, IO: 8 * time.Second},
+		DialTimeout: 2 * time.Second,
+		Matrix:      chaosMatrix,
+		Logf:        f.logf,
+	})
 }
 
 // close tears the whole fleet down: prober, then every backend.

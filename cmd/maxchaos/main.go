@@ -1,5 +1,5 @@
 // Command maxchaos is the fleet resilience harness: it boots a live
-// gateway in front of N in-process maxd-equivalent backends over real
+// gateway in front of N in-process internal/daemon backends over real
 // TCP, drives open-loop client load at the gateway, and injects fleet
 // chaos — killing and restarting a backend every -kill-every, muting a
 // second one's new sessions (StallFirstRead) and making a third one's
@@ -151,7 +151,7 @@ func runChaos(cfg chaosConfig) (*Report, error) {
 		fleet.chaosLoop(chaosDone, counters)
 	}()
 
-	stats := fleet.runLoad(cfg.duration)
+	stats, loadErr := fleet.runLoad(cfg.duration)
 
 	// Stop the chaos first (restoring every backend), then the intake,
 	// then let in-flight relays drain on their own connections.
@@ -159,17 +159,21 @@ func runChaos(cfg chaosConfig) (*Report, error) {
 	chaosWG.Wait()
 	fleet.stopIntake()
 	drained := fleet.gw.Drain(10 * time.Second)
+	if loadErr != nil {
+		fleet.close()
+		return nil, loadErr
+	}
 
 	rep := &Report{
 		Backends:             cfg.backends,
 		Duration:             cfg.duration.String(),
 		KillEvery:            cfg.killEvery.String(),
-		Sessions:             stats.sessions.Load(),
-		Skipped:              stats.skipped.Load(),
-		Succeeded:            stats.succeeded.Load(),
-		Shed:                 stats.shed.Load(),
-		Failed:               stats.failed.Load(),
-		Miscomputed:          stats.miscomputed.Load(),
+		Sessions:             int64(stats.Started),
+		Skipped:              int64(stats.Skipped),
+		Succeeded:            int64(stats.Succeeded),
+		Shed:                 int64(stats.Shed),
+		Failed:               int64(stats.Failed),
+		Miscomputed:          int64(stats.Miscomputed),
 		Kills:                counters.kills.Load(),
 		Restarts:             counters.restarts.Load(),
 		RestartFailures:      counters.restartFails.Load(),
@@ -194,9 +198,9 @@ func runChaos(cfg chaosConfig) (*Report, error) {
 
 	fleet.close()
 	for _, b := range fleet.backends {
-		rep.ServedByBackend[b.protoAddr] = b.served.Load()
-		rep.ServedTotal += b.served.Load()
-		rep.ArenaOutstanding[b.protoAddr] = b.srv.ArenaOutstanding()
+		rep.ServedByBackend[b.protoAddr] = b.served
+		rep.ServedTotal += b.served
+		rep.ArenaOutstanding[b.protoAddr] = b.arena
 	}
 	rep.GoroutinesAfter = settleGoroutines(goroutinesBefore, 5*time.Second)
 	rep.evaluate(&cfg)

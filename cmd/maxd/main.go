@@ -70,32 +70,22 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"net"
-	"net/http"
-	netpprof "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/debug"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
+	"maxelerator/internal/daemon"
 	"maxelerator/internal/fixed"
 	"maxelerator/internal/maxsim"
-	"maxelerator/internal/obs"
-	"maxelerator/internal/precompute"
 	"maxelerator/internal/protocol"
 	"maxelerator/internal/report"
-	"maxelerator/internal/wire"
 )
 
 // daemonConfig gathers every knob of one maxd instance.
@@ -218,13 +208,19 @@ func demoModel(rows, cols int, seed int64, f fixed.Format) [][]float64 {
 	return out
 }
 
-// traceMACLimit caps the per-session memory-system trace: the trace
-// walks every modelled clock cycle, so unboundedly large sessions
-// would stall the daemon. Skipped sessions are logged, not silently
+// traceMACLimit caps the per-request memory-system trace: the trace
+// walks every modelled clock cycle, so unboundedly large requests
+// would stall the daemon. Skipped requests are logged, not silently
 // dropped.
 const traceMACLimit = 4096
 
 func run(dc daemonConfig) error {
+	switch {
+	case dc.pprof && dc.metricsAddr == "":
+		return fmt.Errorf("-pprof requires -metrics-addr")
+	case dc.advertise && dc.metricsAddr == "":
+		return fmt.Errorf("-advertise requires -metrics-addr")
+	}
 	f := fixed.Format{Width: dc.width, Frac: dc.frac}
 	if err := f.Validate(); err != nil {
 		return err
@@ -253,395 +249,81 @@ func run(dc daemonConfig) error {
 		raw[i] = r
 	}
 
-	o := obs.New(0)
-	simCfg := maxsim.Config{Width: dc.width, AccWidth: 2 * dc.width, Signed: true}
-	srv, err := protocol.NewServer(simCfg)
-	if err != nil {
-		return err
-	}
-	srv.WithObs(o).WithTimeouts(protocol.Timeouts{
-		Handshake: dc.handshakeTimeout, IO: dc.ioTimeout,
-	})
-	// A daemon-owned simulator drives the post-session memory-system
-	// trace (stall cycles, peak occupancy). Its registry is shared with
-	// the protocol sessions; Trace is read-only on the simulator, so
-	// concurrent sessions may model through it safely.
-	simCfg.Metrics = o.Metrics()
-	sim, err := maxsim.New(simCfg)
-	if err != nil {
-		return err
-	}
-
-	// -precompute: pre-garble the model's shape in the background. Both
-	// poolable OT modes are admitted up front (the client picks the
-	// mode, the daemon cannot know which); any other shape the traffic
-	// teaches is admitted on first miss. eng stays nil when disabled —
-	// the protocol layer treats a nil engine as always-miss.
-	var eng *precompute.Engine
-	if dc.precompute {
-		eng, err = precompute.New(precompute.Config{
-			Sim:       simCfg,
-			PoolSize:  dc.precomputePool,
-			MaxShapes: dc.precomputeShapes,
-			Metrics:   o.Metrics(),
-		})
-		if err != nil {
-			return fmt.Errorf("precompute engine: %w", err)
-		}
-		srv.WithPrecompute(eng)
-		for _, ot := range []string{"per-round", "batched"} {
-			eng.Admit(precompute.Shape{
-				Rows: len(raw), Cols: len(raw[0]),
-				Width: dc.width, Signed: true, Mode: "matvec", OT: ot,
-			})
-		}
-		eng.Start()
-		log.Printf("maxd: precompute engine on (pool=%d per shape, max shapes=%d)",
-			dc.precomputePool, dc.precomputeShapes)
-	}
-
 	ln, err := net.Listen("tcp", dc.listen)
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
+	var mln net.Listener
+	if dc.metricsAddr != "" {
+		if mln, err = net.Listen("tcp", dc.metricsAddr); err != nil {
+			return fmt.Errorf("metrics listener: %w", err)
+		}
+		defer mln.Close()
+	}
+	lg := &requestLog{f: f}
+	d, err := daemon.New(daemon.Config{
+		Listener: ln, MetricsListener: mln,
+		Matrix: raw, Width: dc.width, Once: dc.once,
+		DrainTimeout: dc.drainTimeout, GarbleWorkers: dc.garbleWorkers,
+		MaxSessions: dc.maxSessions, AdmissionWait: dc.admissionWait,
+		Timeouts:   protocol.Timeouts{Handshake: dc.handshakeTimeout, IO: dc.ioTimeout},
+		Precompute: dc.precompute, PrecomputePool: dc.precomputePool, PrecomputeShapes: dc.precomputeShapes,
+		Pprof: dc.pprof, Advertise: dc.advertise,
+		Log: lg,
+	})
+	if err != nil {
+		return err
+	}
+	// The stall trace models through its own simulator on the daemon's
+	// registry. Trace is read-only on the simulator, so concurrent
+	// sessions may share it.
+	lg.sim, err = maxsim.New(maxsim.Config{
+		Width: dc.width, AccWidth: 2 * dc.width, Signed: true, Metrics: d.Registry(),
+	})
+	if err != nil {
+		return err
+	}
 	log.Printf("maxd: serving %d×%d model on %s (b=%d, Q%d.%d fixed point)",
 		len(raw), len(raw[0]), ln.Addr(), dc.width, dc.width-dc.frac-1, dc.frac)
 
-	// Register the daemon-level counters before the metrics endpoint
-	// goes live so the very first scrape already lists them (at zero).
-	reg := o.Metrics()
-	bytesIn := reg.Counter("wire_bytes_in_total", "framed bytes received from clients")
-	bytesOut := reg.Counter("wire_bytes_out_total", "framed bytes sent to clients")
-	connsTotal := reg.Counter("connections_total", "TCP connections accepted")
-
-	var httpSrv *http.Server
-	if dc.metricsAddr != "" {
-		mln, err := net.Listen("tcp", dc.metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		// Runtime observability rides along with the metrics surface:
-		// every scrape samples goroutines, heap occupancy and GC
-		// pause/cycle deltas, so a perf regression caught by the
-		// benchgrid gate is explainable from /metrics alone.
-		o.EnableRuntimeMetrics()
-		handler := metricsHandler(o, dc.pprof)
-		if dc.advertise {
-			handler = advertiseHandler(handler, func() []string {
-				return advertisedShapes(eng, len(raw), len(raw[0]), dc.width)
-			})
-		}
-		httpSrv = &http.Server{Handler: handler}
-		go httpSrv.Serve(mln)
-		defer httpSrv.Close()
-		surface := "/metrics /debug/sessions /healthz"
-		if dc.pprof {
-			surface += " /debug/pprof/"
-		}
-		if dc.advertise {
-			surface += " /shapez"
-		}
-		log.Printf("maxd: observability on http://%s (%s)", mln.Addr(), surface)
-	} else if dc.pprof {
-		return fmt.Errorf("-pprof requires -metrics-addr")
-	} else if dc.advertise {
-		return fmt.Errorf("-advertise requires -metrics-addr")
-	}
-
-	// Graceful shutdown: a signal stops the accept loop; in-flight
-	// sessions get dc.drainTimeout to finish before the daemon exits.
-	// serveCtx is cancelled only after the drain deadline expires — it
-	// interrupts sessions wherever they are, including wire operations
-	// already blocked on a silent peer.
+	// SIGINT/SIGTERM stops intake; in-flight sessions get -drain-timeout
+	// before the daemon cancels them.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	serveCtx, killSessions := context.WithCancel(context.Background())
-	defer killSessions()
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
-
-	// -max-sessions admission control: a counting semaphore bounds the
-	// sessions in flight; connections beyond the limit queue (visible
-	// on the sessions_waiting gauge) up to -admission-wait and are then
-	// shed with a BUSY frame, so overload degrades into bounded latency
-	// and honest rejections, not silent unbounded queueing. busy=true
-	// from acquire means "rejected for load" (the peer deserves a BUSY
-	// frame); admitted=false with busy=false means "shutting down".
-	var sem chan struct{}
-	if dc.maxSessions > 0 {
-		sem = make(chan struct{}, dc.maxSessions)
-	}
-	waiting := reg.Gauge("sessions_waiting", "connections queued behind the -max-sessions limit")
-	busyRejects := reg.Counter("busy_rejects_total", "connections shed with a BUSY frame after the -admission-wait queue deadline")
-	var lastReject atomic.Int64 // unix nanos of the most recent BUSY rejection
-	acquire := func() (admitted, busy bool) {
-		if sem == nil {
-			return true, false
-		}
-		select {
-		case sem <- struct{}{}:
-			return true, false
-		default:
-		}
-		waiting.Add(1)
-		defer waiting.Add(-1)
-		var deadline <-chan time.Time
-		if dc.admissionWait > 0 {
-			t := time.NewTimer(dc.admissionWait)
-			defer t.Stop()
-			deadline = t.C
-		}
-		select {
-		case sem <- struct{}{}:
-			return true, false
-		case <-deadline:
-			return false, true
-		case <-ctx.Done():
-			return false, false
-		}
-	}
-	release := func() {
-		if sem != nil {
-			<-sem
-		}
-	}
-
-	// /healthz load signal: overloaded while a BUSY rejection is recent
-	// (a load balancer should route away), degraded while connections
-	// are merely queueing, ok otherwise. The overload window matches the
-	// admission wait so the state outlives the instant of rejection.
-	rejectWindow := dc.admissionWait
-	if rejectWindow < time.Second {
-		rejectWindow = time.Second
-	}
-	o.SetHealth(func() string {
-		if t := lastReject.Load(); t != 0 && time.Since(time.Unix(0, t)) < rejectWindow {
-			return obs.HealthOverloaded
-		}
-		if waiting.Value() > 0 {
-			return obs.HealthDegraded
-		}
-		return obs.HealthOK
-	})
-
-	handle := func(c net.Conn) {
-		peer := c.RemoteAddr().String()
-		// A panic anywhere in this connection's serving must cost only
-		// this connection: the session layer already recovers inside
-		// request handling, so this is the outermost backstop keeping
-		// the daemon up (the accept loop never dies with a handler).
-		defer func() {
-			if r := recover(); r != nil {
-				reg.Counter("panics_recovered_total", "panics recovered and converted to per-request errors").Inc()
-				log.Printf("maxd: peer=%s recovered panic in connection handler: %v\n%s", peer, r, debug.Stack())
-			}
-		}()
-		connsTotal.Inc()
-		// Per-connection byte accounting; callbacks run on the session
-		// goroutine only.
-		var connIn, connOut uint64
-		conn := wire.Observed(wire.NewStreamConn(c),
-			func(n int) { bytesOut.Add(uint64(n)); connOut += uint64(n) },
-			func(n int) { bytesIn.Add(uint64(n)); connIn += uint64(n) })
-		defer conn.Close()
-
-		admitted, busy := acquire()
-		if busy {
-			busyRejects.Inc()
-			lastReject.Store(time.Now().UnixNano())
-			// Best-effort BUSY frame under a short deadline: a peer too
-			// broken to read two dozen bytes just gets the close.
-			c.SetDeadline(time.Now().Add(2 * time.Second))
-			if err := protocol.SendBusy(conn, dc.admissionWait); err != nil {
-				log.Printf("maxd: peer=%s busy frame not delivered: %v", peer, err)
-			}
-			log.Printf("maxd: peer=%s rejected: busy (max-sessions=%d full past admission-wait=%s)",
-				peer, dc.maxSessions, dc.admissionWait)
-			return
-		}
-		if !admitted {
-			log.Printf("maxd: peer=%s rejected: shutting down", peer)
-			return
-		}
-		defer release()
-
-		tr := o.Traces().StartSession("mux", peer)
-		sess, err := srv.NewSessionContext(serveCtx, conn, protocol.SessionConfig{
-			GarbleWorkers: dc.garbleWorkers, Trace: tr,
-		})
-		if err != nil {
-			log.Printf("maxd: session=%s peer=%s status=error phase=setup bytes_in=%d bytes_out=%d err=%q",
-				tr.ID(), peer, connIn, connOut, err)
-			return
-		}
-		defer sess.Close()
-
-		// Multiplexed request loop: the client issues any number of
-		// matvec requests over the one OT setup; each garbles under
-		// fresh labels.
-		for {
-			resp, err := sess.ServeContext(serveCtx, protocol.Request{Matrix: raw})
-			if errors.Is(err, protocol.ErrSessionEnded) {
-				break
-			}
-			if err != nil {
-				log.Printf("maxd: session=%s peer=%s status=error req=%d bytes_in=%d bytes_out=%d err=%q",
-					tr.ID(), peer, sess.Requests(), connIn, connOut, err)
-				return
-			}
-			st := resp.Stats
-
-			// Model the §5.1 memory system for this request's MAC
-			// stream: how long would the FSM have stalled on the shared
-			// output port, and how full did the core memory blocks get.
-			stall := "skipped"
-			if st.MACs <= traceMACLimit {
-				if tres, terr := sim.Trace(maxsim.TraceConfig{MACs: int(st.MACs)}); terr == nil {
-					stall = fmt.Sprintf("%.3f", tres.StallFraction())
-				}
-			} else {
-				log.Printf("maxd: session=%s trace skipped: %d MACs exceed limit %d", tr.ID(), st.MACs, traceMACLimit)
-			}
-
-			dec := make([]float64, len(resp.Values))
-			for i, v := range resp.Values {
-				dec[i] = f.DecodeProduct(v)
-			}
-			log.Printf("maxd: session=%s peer=%s status=ok req=%d rows=%d macs=%d cycles=%d fpga_time=%s tables=%d table_bytes=%s pcie_time=%s stall_frac=%s",
-				tr.ID(), peer, sess.Requests()-1, len(raw), st.MACs, st.Cycles, report.Dur(st.ModeledTime),
-				st.TablesGarbled, report.Bytes(st.TableBytes), report.Dur(st.PCIeTime), stall)
-			log.Printf("maxd: session=%s req=%d result=%v", tr.ID(), sess.Requests()-1, dec)
-		}
-		tr.SetAttr("requests", fmt.Sprint(sess.Requests()))
-		tr.SetAttr("bytes_in", fmt.Sprint(connIn))
-		tr.SetAttr("bytes_out", fmt.Sprint(connOut))
-		log.Printf("maxd: session=%s peer=%s status=closed requests=%d bytes_in=%s bytes_out=%s",
-			tr.ID(), peer, sess.Requests(), report.Bytes(connIn), report.Bytes(connOut))
-	}
-
-	var wg sync.WaitGroup
-	var acceptErr error
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				log.Printf("maxd: signal received, draining in-flight sessions (deadline %s)", dc.drainTimeout)
-			} else {
-				acceptErr = err
-			}
-			break
-		}
-		if dc.once {
-			handle(c)
-			break
-		}
-		// Fig. 1: "a cloud server architecture with multiple channels
-		// to communicate with the clients" — one goroutine per client;
-		// every session garbles under its own fresh labels.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			handle(c)
-		}()
-	}
-
-	drained := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-time.After(dc.drainTimeout):
-		// The polite drain expired: cancel the serve context, which
-		// slams the deadline on every session's connection and fails
-		// their in-flight wire operations immediately. Escalation is
-		// the moment metrics are most likely to be lost, so flush the
-		// snapshot (and the load-shedding total) before the kill.
-		log.Printf("maxd: drain deadline %s expired, cancelling in-flight sessions shutdown_busy_rejects=%d",
-			dc.drainTimeout, busyRejects.Value())
-		eng.Stop() // escalating anyway: remaining requests fall back inline
-		logFinalSnapshot(o)
-		killSessions()
-		select {
-		case <-drained:
-		case <-time.After(5 * time.Second):
-			log.Printf("maxd: sessions still in flight after cancellation, exiting anyway")
-		}
-	}
-
-	// Stop the refill workers and drain the pools before the final
-	// snapshot: a shut-down daemon must report zero pooled capacity, not
-	// its last warm depths.
-	eng.Stop()
-	logFinalSnapshot(o)
-	return acceptErr
+	return d.Serve(ctx)
 }
 
-// metricsHandler assembles the daemon's HTTP observability surface:
-// the obs handler (/metrics, /debug/sessions, /healthz) plus, when
-// pprofOn, the net/http/pprof endpoints under /debug/pprof/ — CPU,
-// heap, goroutine, block and mutex profiles pulled from the live
-// daemon with the standard `go tool pprof` flow. The pprof routes are
-// mounted explicitly rather than via the package's DefaultServeMux
-// side effect, so disabling the flag really removes the surface.
-func metricsHandler(o *obs.Obs, pprofOn bool) http.Handler {
-	h := o.Handler()
-	if !pprofOn {
-		return h
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", netpprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
-	mux.Handle("/", h)
-	return mux
+// requestLog is maxd's daemon.Logger: every line goes to the standard
+// logger, and each served request gets its §5.1 memory-system trace
+// and decoded result logged — the trace's only output.
+type requestLog struct {
+	f   fixed.Format
+	sim *maxsim.Simulator
 }
 
-// advertisedShapes renders the shape hints /shapez serves: the live
-// precompute pools when the engine runs (traffic-learned shapes
-// included), otherwise the static model shape in both poolable OT
-// modes.
-func advertisedShapes(eng *precompute.Engine, rows, cols, width int) []string {
-	var out []string
-	if eng != nil {
-		for s := range eng.Shapes() {
-			out = append(out, s.String())
+func (l *requestLog) Printf(format string, args ...any) {
+	log.Printf("maxd: "+format, args...)
+}
+
+// Request models how long the FSM would have stalled on the shared
+// output port for this request's MAC stream, then logs the request.
+func (l *requestLog) Request(session, peer string, seq int, resp *protocol.Response) {
+	st := resp.Stats
+	stall := "skipped"
+	if st.MACs <= traceMACLimit {
+		if tres, err := l.sim.Trace(maxsim.TraceConfig{MACs: int(st.MACs)}); err == nil {
+			stall = fmt.Sprintf("%.3f", tres.StallFraction())
 		}
 	} else {
-		for _, ot := range []string{"per-round", "batched"} {
-			out = append(out, precompute.Shape{
-				Rows: rows, Cols: cols, Width: width, Signed: true,
-				Mode: "matvec", OT: ot,
-			}.String())
-		}
+		log.Printf("maxd: session=%s trace skipped: %d MACs exceed limit %d", session, st.MACs, traceMACLimit)
 	}
-	sort.Strings(out)
-	return out
-}
-
-// advertiseHandler mounts /shapez over the base observability surface.
-func advertiseHandler(base http.Handler, shapes func() []string) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/shapez", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"shapes": shapes()})
-	})
-	mux.Handle("/", base)
-	return mux
-}
-
-// logFinalSnapshot flushes the complete metrics state to the log so a
-// scrape-less deployment still retains the run's totals.
-func logFinalSnapshot(o *obs.Obs) {
-	var sb strings.Builder
-	if err := o.Metrics().WritePrometheus(&sb); err != nil || sb.Len() == 0 {
-		return
+	dec := make([]float64, len(resp.Values))
+	for i, v := range resp.Values {
+		dec[i] = l.f.DecodeProduct(v)
 	}
-	log.Printf("maxd: final metrics snapshot:\n%s", sb.String())
+	log.Printf("maxd: session=%s peer=%s status=ok req=%d rows=%d macs=%d cycles=%d fpga_time=%s tables=%d table_bytes=%s pcie_time=%s stall_frac=%s",
+		session, peer, seq, len(resp.Values), st.MACs, st.Cycles, report.Dur(st.ModeledTime),
+		st.TablesGarbled, report.Bytes(st.TableBytes), report.Dur(st.PCIeTime), stall)
+	log.Printf("maxd: session=%s req=%d result=%v", session, seq, dec)
 }

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"maxelerator/internal/daemon"
 	"maxelerator/internal/fixed"
 	"maxelerator/internal/obs"
 	"maxelerator/internal/protocol"
@@ -763,7 +764,7 @@ func TestAdvertiseRequiresMetricsAddr(t *testing.T) {
 func TestMetricsHandlerPprofGating(t *testing.T) {
 	o := obs.New(0)
 	o.Metrics().Counter("gating_probe_total", "registered so /metrics has a body").Inc()
-	plain := httptest.NewServer(metricsHandler(o, false))
+	plain := httptest.NewServer(daemon.MetricsHandler(o, false))
 	defer plain.Close()
 	resp, err := http.Get(plain.URL + "/debug/pprof/")
 	if err != nil {
@@ -774,7 +775,7 @@ func TestMetricsHandlerPprofGating(t *testing.T) {
 		t.Fatalf("/debug/pprof/ without -pprof = %s, want 404", resp.Status)
 	}
 
-	profiled := httptest.NewServer(metricsHandler(o, true))
+	profiled := httptest.NewServer(daemon.MetricsHandler(o, true))
 	defer profiled.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/heap", "/metrics", "/healthz"} {
 		resp, err := http.Get(profiled.URL + path)

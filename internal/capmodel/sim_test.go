@@ -105,6 +105,27 @@ func TestSimulateOverloadSheds(t *testing.T) {
 	}
 }
 
+// AdmissionWaitSec 0 means what it means on the daemon: a connection
+// past MaxSessions queues without bound instead of being shed.
+func TestSimulateAdmissionWaitZeroQueues(t *testing.T) {
+	sc := testScenario()
+	sc.Rate, sc.Process, sc.DurationSec = 10, load.Uniform, 0.25 // arrivals at 0.1 s and 0.2 s
+	cal := constCal(0.5, 0.5, 0)
+	r, err := Simulate(sc, Fleet{MaxSessions: 1, AdmissionWaitSec: 0, CPUs: 64}, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Started != 2 {
+		t.Fatalf("started %d sessions, want 2 overlapping ones", r.Started)
+	}
+	if r.Shed != 0 || r.Succeeded != 2 {
+		t.Fatalf("wait 0 shed %d and completed %d of 2, want 0 shed: %+v", r.Shed, r.Succeeded, r.Report)
+	}
+	if r.MeanAdmissionWaitMs <= 0 {
+		t.Fatalf("mean admission wait %v ms, want > 0: the second session queued", r.MeanAdmissionWaitMs)
+	}
+}
+
 // Warm pools must hit until consumption outruns refill.
 func TestSimulatePoolHitRate(t *testing.T) {
 	sc := testScenario()

@@ -1,16 +1,18 @@
 package capmodel
 
 import (
+	"net"
 	"testing"
 	"time"
 
-	"maxelerator/internal/fleetlab"
+	"maxelerator/internal/daemon"
 	"maxelerator/internal/load"
+	"maxelerator/internal/protocol"
 )
 
 // TestValidateAgainstLiveBackend is the tentpole's closing loop and an
-// acceptance criterion of the capacity model: drive a real in-process
-// maxd-equivalent (real TCP, real OT, real garbling) with the open-loop
+// acceptance criterion of the capacity model: drive the real in-process
+// internal/daemon (real TCP, real OT, real garbling) with the open-loop
 // generator, calibrate the simulator from the histograms that same run
 // produced, replay the identical arrival schedule, and require the
 // predicted p50/p99 and pool hit-rate to land inside the documented
@@ -19,15 +21,21 @@ func TestValidateAgainstLiveBackend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live validation loop needs seconds of wall clock")
 	}
-	b, err := fleetlab.Start(fleetlab.Config{
-		Width: 8, Rows: 4, Cols: 4, Seed: 1,
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	matrix := daemon.DemoMatrix(4, 4, 8, 1)
+	b, err := daemon.Start(daemon.Config{
+		Listener: ln, Matrix: matrix, Width: 8, GarbleWorkers: 1,
 		MaxSessions: 8, AdmissionWait: 2 * time.Second,
-		PoolSize: 4,
+		Timeouts:   protocol.Timeouts{Handshake: 10 * time.Second, IO: 10 * time.Second},
+		Precompute: true, PrecomputePool: 4, PrecomputeShapes: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Stop()
+	defer b.Close()
 	if err := b.Prefill(4); err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +46,10 @@ func TestValidateAgainstLiveBackend(t *testing.T) {
 		Shapes:      []load.ShapeWeight{{Rows: 4, Cols: 4, Width: 8, Weight: 1}},
 	}
 	measured, err := load.Run(load.Config{
-		Target:   b.Addr,
+		Target:   ln.Addr().String(),
 		Scenario: sc,
 		Registry: b.Registry(),
+		Matrix:   matrix,
 		Logf:     t.Logf,
 	})
 	if err != nil {
@@ -51,6 +60,9 @@ func TestValidateAgainstLiveBackend(t *testing.T) {
 		measured.Latency.P50Ms, measured.Latency.P99Ms, measured.Pool)
 	if measured.Succeeded == 0 {
 		t.Fatal("live run produced no successful sessions; cannot calibrate")
+	}
+	if measured.Miscomputed > 0 {
+		t.Fatalf("%d sessions decoded a wrong answer", measured.Miscomputed)
 	}
 
 	cal, err := FromSnapshot(b.Registry().Snapshot(), 4, 4, 8)

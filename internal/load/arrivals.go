@@ -23,6 +23,9 @@ type ShapeWeight struct {
 	Width int `json:"width"`
 	// OT is the per-request OT mode: "per-round" (default) or "batched".
 	OT string `json:"ot,omitempty"`
+	// NoHint sends no shape-hint preface, so a gateway routes the
+	// session on its unhinted least-loaded path.
+	NoHint bool `json:"no_hint,omitempty"`
 	// Weight is the relative share of arrivals drawing this shape;
 	// weights need not sum to 1.
 	Weight float64 `json:"weight"`

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,6 +32,11 @@ type Config struct {
 	// Registry, when set, reads pool counters in-process instead of
 	// scraping — the validation harness's path. Overrides MetricsURL.
 	Registry *obs.Registry
+	// Matrix, when set, is the model the target serves: every answer
+	// is checked against Matrix·y as a signed product wrapping at
+	// 2·Width bits, as the garbled MAC does, and a wrong one counts in
+	// Report.Miscomputed. Leave nil for a target whose model is unknown.
+	Matrix [][]int64
 	// Logf receives per-session diagnostics; nil discards them.
 	Logf func(string, ...any)
 }
@@ -61,11 +67,11 @@ func Run(cfg Config) (*Report, error) {
 	before := readPoolCounters(cfg)
 
 	var (
-		skipped, succeeded, shed, failed atomic.Int64
-		started                          int
-		mu                               sync.Mutex
-		latencies                        []float64
-		wg                               sync.WaitGroup
+		skipped, succeeded, shed, failed, miscomputed atomic.Int64
+		started                                       int
+		mu                                            sync.Mutex
+		latencies                                     []float64
+		wg                                            sync.WaitGroup
 	)
 	var sem chan struct{}
 	if cfg.Scenario.MaxInflight > 0 {
@@ -95,8 +101,11 @@ func Run(cfg Config) (*Report, error) {
 				defer func() { <-sem }()
 			}
 			t0 := time.Now()
-			err := oneSession(cfg, shape)
+			y, out, err := oneSession(cfg, shape)
 			switch {
+			case err == nil && cfg.Matrix != nil && !slices.Equal(out, wantMatVec(cfg.Matrix, y, 2*shape.Width)):
+				logf("load: session %d (%s): answer %v is wrong", i, shape.Key(), out)
+				miscomputed.Add(1)
 			case err == nil:
 				succeeded.Add(1)
 				mu.Lock()
@@ -113,14 +122,15 @@ func Run(cfg Config) (*Report, error) {
 	wg.Wait()
 
 	r := &Report{
-		Target:    cfg.Target,
-		Scenario:  cfg.Scenario,
-		Offered:   len(arrivals),
-		Started:   started,
-		Skipped:   int(skipped.Load()),
-		Succeeded: int(succeeded.Load()),
-		Shed:      int(shed.Load()),
-		Failed:    int(failed.Load()),
+		Target:      cfg.Target,
+		Scenario:    cfg.Scenario,
+		Offered:     len(arrivals),
+		Started:     started,
+		Skipped:     int(skipped.Load()),
+		Succeeded:   int(succeeded.Load()),
+		Shed:        int(shed.Load()),
+		Failed:      int(failed.Load()),
+		Miscomputed: int(miscomputed.Load()),
 	}
 	r.Finalize(latencies)
 	if after := readPoolCounters(cfg); after != nil && before != nil {
@@ -129,41 +139,59 @@ func Run(cfg Config) (*Report, error) {
 	return r, nil
 }
 
-// oneSession runs a single client session: dial, hint, one matvec of
-// the shape's width, clean close. The client vector is the maxbench
-// pattern (j%16 − 8) so every run offers identical work.
-func oneSession(cfg Config, shape ShapeWeight) error {
+// oneSession runs a single client session: dial, hint (unless the
+// shape says NoHint), one matvec of the shape's width, clean close. The
+// client vector y is the maxbench pattern (j%16 − 8) so every run
+// offers identical work.
+func oneSession(cfg Config, shape ShapeWeight) (y, out []int64, err error) {
 	cli, err := protocol.NewClient(rand.Reader)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	cli.WithTimeouts(cfg.Timeouts)
 	ot := shape.OT
 	if ot == "" {
 		ot = "per-round"
 	}
-	cli.WithShapeHint(protocol.ShapeHint{
-		Rows: shape.Rows, Cols: shape.Cols, Width: shape.Width,
-		Signed: true, Mode: "matvec", OT: ot,
-	})
+	if !shape.NoHint {
+		cli.WithShapeHint(protocol.ShapeHint{
+			Rows: shape.Rows, Cols: shape.Cols, Width: shape.Width,
+			Signed: true, Mode: "matvec", OT: ot,
+		})
+	}
 	nc, err := net.DialTimeout("tcp", cfg.Target, cfg.DialTimeout)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	conn := wire.NewStreamConn(nc)
 	defer conn.Close()
 	cs, err := cli.Dial(conn)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	y := make([]int64, shape.Cols)
+	y = make([]int64, shape.Cols)
 	for j := range y {
 		y[j] = int64(j%16 - 8)
 	}
-	if _, err := cs.Do(y); err != nil {
-		return err
+	if out, err = cs.Do(y); err != nil {
+		return nil, nil, err
 	}
-	return cs.Close()
+	return y, out, cs.Close()
+}
+
+// wantMatVec is A·y in a signed accumulator of accWidth ≤ 64 bits that
+// wraps on overflow.
+func wantMatVec(A [][]int64, y []int64, accWidth int) []int64 {
+	out := make([]int64, len(A))
+	shift := 64 - min(accWidth, 64)
+	for i, row := range A {
+		var acc int64
+		for j, a := range row {
+			acc += a * y[j]
+		}
+		out[i] = acc << shift >> shift
+	}
+	return out
 }
 
 func isBusy(err error) bool {

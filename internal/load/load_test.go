@@ -168,6 +168,57 @@ func TestSummarizeNearestRank(t *testing.T) {
 	if one.P50Ms != 7 || one.P99Ms != 7 {
 		t.Errorf("single sample = %+v", one)
 	}
+	// Rank ceil(p·n/100) at n=4: p50 is the 2nd sample, the tail ranks
+	// round up to the last (rank equals n exactly).
+	four := Summarize([]float64{0.040, 0.010, 0.030, 0.020})
+	if four.P50Ms != 20 || four.P90Ms != 40 || four.P95Ms != 40 || four.P99Ms != 40 {
+		t.Errorf("n=4 = %+v", four)
+	}
+	// The rank arithmetic at the edges Summarize never asks for: p below
+	// 1 clamps to the first sample, p=100 is the last.
+	sorted := []float64{10, 20, 30, 40}
+	for _, tc := range []struct {
+		p    int
+		want float64
+	}{{0, 10}, {1, 10}, {25, 10}, {51, 30}, {75, 30}, {100, 40}} {
+		if got := nearestRank(sorted, tc.p); got != tc.want {
+			t.Errorf("nearestRank(n=4, p=%d) = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+	if got := nearestRank(s, 100); got != 0.1 {
+		t.Errorf("nearestRank(n=100, p=100) = %v, want the max", got)
+	}
+}
+
+func TestParseShapes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []ShapeWeight
+	}{
+		{"4x4/b=8", []ShapeWeight{{Rows: 4, Cols: 4, Width: 8, OT: "per-round", Weight: 1}}},
+		{"4x4/b=8*3, 2x8/b=16/ot=batched*0.5", []ShapeWeight{
+			{Rows: 4, Cols: 4, Width: 8, OT: "per-round", Weight: 3},
+			{Rows: 2, Cols: 8, Width: 16, OT: "batched", Weight: 0.5},
+		}},
+		{"1x2/b=8/nohint*2", []ShapeWeight{{Rows: 1, Cols: 2, Width: 8, OT: "per-round", NoHint: true, Weight: 2}}},
+		{"", nil},
+		{"4x4", nil},
+		{"4x4/b=x", nil},
+		{"4x4/b=8*w", nil},
+		{"4by4/b=8", nil},
+		{"4x4/b=8/hint", nil},
+	} {
+		got, err := ParseShapes(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("ParseShapes(%q) = %+v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseShapes(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		}
+	}
 }
 
 func TestReportFinalize(t *testing.T) {

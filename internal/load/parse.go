@@ -8,8 +8,9 @@ import (
 
 // ParseShapes parses the CLI shape-mix syntax shared by maxload and
 // maxcap: comma-separated ROWSxCOLS/b=WIDTH entries, each with an
-// optional *WEIGHT suffix (default 1) and an optional /ot=MODE
-// segment, e.g. "4x4/b=8*3,2x8/b=8/ot=batched*1".
+// optional *WEIGHT suffix (default 1), an optional /ot=MODE segment and
+// an optional /nohint token that sends no shape-hint preface, e.g.
+// "4x4/b=8*3,2x8/b=8/ot=batched*1,4x4/b=8/nohint".
 func ParseShapes(s string) ([]ShapeWeight, error) {
 	var out []ShapeWeight
 	for _, entry := range strings.Split(s, ",") {
@@ -40,6 +41,8 @@ func ParseShapes(s string) ([]ShapeWeight, error) {
 				sw.Width = w
 			case strings.HasPrefix(part, "ot="):
 				sw.OT = part[3:]
+			case part == "nohint":
+				sw.NoHint = true
 			default:
 				return nil, fmt.Errorf("load: shape %q: unknown segment %q", entry, part)
 			}

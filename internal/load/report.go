@@ -90,11 +90,13 @@ type Report struct {
 	// Skipped counts arrivals dropped at the client-side MaxInflight
 	// cap — open-loop pressure the fleet never saw.
 	Skipped int `json:"skipped"`
-	// Succeeded, Shed, Failed partition the started sessions: clean
-	// result, BUSY rejection, hard error.
-	Succeeded int `json:"succeeded"`
-	Shed      int `json:"shed"`
-	Failed    int `json:"failed"`
+	// Succeeded, Shed, Failed and Miscomputed partition the started
+	// sessions: right result, BUSY rejection, hard error, and a result
+	// that came back wrong (counted only when Config.Matrix is set).
+	Succeeded   int `json:"succeeded"`
+	Shed        int `json:"shed"`
+	Failed      int `json:"failed"`
+	Miscomputed int `json:"miscomputed,omitempty"`
 	// AchievedRate is Succeeded/DurationSec — the rate the fleet
 	// actually sustained against the offered load.
 	AchievedRate float64 `json:"achieved_rate"`
